@@ -13,7 +13,10 @@
 // also tracks whether the steady state stays allocation-free.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "datagen/scale_table.hpp"
 #include "grb/grb.hpp"
@@ -386,19 +389,34 @@ BENCHMARK(BM_ReduceRowsSF)
     ->Args({2048, 1})
     ->Args({2048, 8});
 
+// One change-set round trip on a fixed matrix: insert a batch of absent
+// positions, then remove the same positions, which restores the matrix. No
+// per-iteration copy, so the timed work is the two in-place merges alone.
+// Arg: batch size (8 is the size of a paper change set).
 void BM_InsertTuplesBatch(benchmark::State& state) {
-  const auto base = social_matrix(kRows, kCols, kNnz, 10);
+  auto m = social_matrix(kRows, kCols, kNnz, 10);
+  const auto k = static_cast<std::size_t>(state.range(0));
   grbsm::support::Xoshiro256 rng(11);
   std::vector<grb::Tuple<Bool>> batch;
-  for (int k = 0; k < 200; ++k) {
-    batch.push_back({rng.bounded(kRows), rng.bounded(kCols), Bool{1}});
+  std::vector<std::pair<Index, Index>> positions;
+  while (batch.size() < k) {
+    const std::pair<Index, Index> p{rng.bounded(kRows), rng.bounded(kCols)};
+    if (m.has(p.first, p.second) ||
+        std::find(positions.begin(), positions.end(), p) != positions.end()) {
+      continue;
+    }
+    batch.push_back({p.first, p.second, Bool{1}});
+    positions.push_back(p);
   }
   for (auto _ : state) {
-    Matrix<Bool> m = base;
     m.insert_tuples(batch, grb::LOr<Bool>{});
-    benchmark::DoNotOptimize(m);
+    m.remove_positions(positions);
+    benchmark::DoNotOptimize(m.colind().data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * k));
 }
-BENCHMARK(BM_InsertTuplesBatch);
+BENCHMARK(BM_InsertTuplesBatch)->Arg(8)->Arg(200);
 
 }  // namespace

@@ -6,9 +6,11 @@
 // The social-media workload grows its matrices continuously (new comments
 // and users arrive in every change set), so in addition to the standard
 // GraphBLAS build/setElement API the class provides `resize` (grow/shrink,
-// GxB_Matrix_resize) and `insert_tuples` (sorted batch merge), which is how
-// the incremental engine applies a change set in O(nnz + k log k) instead of
-// k separate O(nnz) setElement calls.
+// GxB_Matrix_resize) and the in-place batch merges `insert_tuples` and
+// `remove_positions`, which is how the incremental engine applies a change
+// set. A batch of k entries costs O(k log k) plus the entries stored after
+// its first touched position (each moved once) plus one rowptr pass from the
+// first touched row, instead of k separate setElement shifts.
 #pragma once
 
 #include <algorithm>
@@ -210,9 +212,14 @@ class Matrix {
     for (Index r = i + 1; r <= nrows_; ++r) ++rowptr_[r];
   }
 
-  /// Merges a batch of new tuples into the matrix in one pass. Duplicates
-  /// (within the batch or against existing entries) are combined with `dup`.
-  /// This is the change-set application primitive of the incremental engine.
+  /// Merges a batch of tuples into the matrix in place. Duplicates (within
+  /// the batch or against existing entries) are combined with `dup`. This is
+  /// the change-set application primitive of the incremental engine. Each
+  /// batch entry is located by binary search in its row, the arrays grow at
+  /// most once, every untouched run of entries moves exactly once (back to
+  /// front), and rowptr is fixed in one pass from the first row that gained
+  /// an entry. Bounds checks and the capacity growth come before the first
+  /// write, so a throwing call leaves the matrix unchanged.
   template <typename Dup = Plus<T>>
   void insert_tuples(std::vector<Tuple<T>> tuples, Dup dup = Dup{}) {
     if (tuples.empty()) return;
@@ -225,65 +232,63 @@ class Matrix {
       }
     }
     sort_tuples(tuples);
-    // Combine duplicates inside the batch first. Staging and the merged
-    // arrays lease from the workspace: the change-set application loop runs
-    // this once per matrix per update, and the retired arrays donated below
-    // keep its steady state allocation-free.
-    auto& ws = detail::workspace();
-    auto batch_lease = ws.lease<Tuple<T>>(tuples.size());
-    auto& batch = *batch_lease;
-    for (auto& t : tuples) {
-      if (!batch.empty() && batch.back().row == t.row &&
-          batch.back().col == t.col) {
-        batch.back().val = dup(batch.back().val, t.val);
+    // Combine duplicates inside the batch first.
+    std::size_t last = 0;
+    for (std::size_t b = 1; b < tuples.size(); ++b) {
+      if (tuples[b].row == tuples[last].row &&
+          tuples[b].col == tuples[last].col) {
+        tuples[last].val = dup(tuples[last].val, tuples[b].val);
       } else {
-        batch.push_back(t);
+        tuples[++last] = tuples[b];
       }
     }
-    // Merge old CSR with the sorted batch.
-    auto new_rowptr_lease = ws.lease<Index>(nrows_ + 1);
-    auto new_colind_lease = ws.lease<Index>(colind_.size() + batch.size());
-    auto new_val_lease = ws.lease<T>(val_.size() + batch.size());
-    auto& new_rowptr = *new_rowptr_lease;
-    auto& new_colind = *new_colind_lease;
-    auto& new_val = *new_val_lease;
-    new_rowptr.assign(nrows_ + 1, 0);
-    std::size_t b = 0;
-    for (Index i = 0; i < nrows_; ++i) {
-      Index k = rowptr_[i];
-      const Index k_end = rowptr_[i + 1];
-      while (k < k_end || (b < batch.size() && batch[b].row == i)) {
-        const bool take_old =
-            k < k_end && (b >= batch.size() || batch[b].row != i ||
-                          colind_[k] < batch[b].col);
-        if (take_old) {
-          new_colind.push_back(colind_[k]);
-          new_val.push_back(val_[k]);
-          ++k;
-        } else if (k < k_end && batch[b].row == i && colind_[k] == batch[b].col) {
-          new_colind.push_back(colind_[k]);
-          new_val.push_back(dup(val_[k], batch[b].val));
-          ++k;
-          ++b;
-        } else {
-          new_colind.push_back(batch[b].col);
-          new_val.push_back(batch[b].val);
-          ++b;
-        }
-      }
-      new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
+    tuples.erase(tuples.begin() + static_cast<std::ptrdiff_t>(last + 1),
+                 tuples.end());
+
+    const Index old_nnz = nvals();
+    Index added = 0;
+    for (const auto& t : tuples) {
+      if (!locate(t.row, t.col, 0, old_nnz).second) ++added;
     }
-    ws.donate(std::move(rowptr_));
-    ws.donate(std::move(colind_));
-    ws.donate(std::move(val_));
-    rowptr_ = new_rowptr_lease.detach();
-    colind_ = new_colind_lease.detach();
-    val_ = new_val_lease.detach();
+    if (added > 0) {
+      detail::reserve_with_headroom(colind_, old_nnz + added);
+      detail::reserve_with_headroom(val_, old_nnz + added);
+      colind_.resize(old_nnz + added);
+      val_.resize(old_nnz + added);
+    }
+    // Write pass, back to front. Entries below `read` still sit at their old
+    // positions (so the old rowptr locates them); entries from `write` on
+    // are final. New tuples compact into tuples[fresh, end) for the rowptr
+    // pass.
+    Index read = old_nnz;
+    Index write = old_nnz + added;
+    std::size_t fresh = tuples.size();
+    for (std::size_t b = tuples.size(); b-- > 0;) {
+      const Tuple<T> t = tuples[b];
+      const auto [pos, found] = locate(t.row, t.col, 0, read);
+      if (found) {
+        val_[pos] = dup(val_[pos], t.val);
+        continue;
+      }
+      std::move_backward(iter(colind_, pos), iter(colind_, read),
+                         iter(colind_, write));
+      std::move_backward(iter(val_, pos), iter(val_, read), iter(val_, write));
+      write -= read - pos + 1;
+      colind_[write] = t.col;
+      val_[write] = t.val;
+      read = pos;
+      tuples[--fresh] = t;
+    }
+    shift_rowptr(tuples.size() - fresh,
+                 [&](std::size_t q) { return tuples[fresh + q].row; }, true);
   }
 
-  /// Removes a batch of positions in one merge pass (the removal analogue
-  /// of insert_tuples). Positions without an entry are ignored. Returns the
-  /// number of entries actually removed.
+  /// Removes a batch of positions in place (the removal analogue of
+  /// insert_tuples): one forward pass moves each run of surviving entries
+  /// exactly once, then rowptr is fixed from the first row that lost an
+  /// entry. Positions without an entry (and repeats) are ignored. Returns the
+  /// number of entries actually removed. Bounds checks come before the first
+  /// write, so a throwing call leaves the matrix unchanged.
   std::size_t remove_positions(std::vector<std::pair<Index, Index>> pos) {
     if (pos.empty()) return 0;
     for (const auto& [i, j] : pos) {
@@ -296,40 +301,31 @@ class Matrix {
       std::sort(pos.begin(), pos.end());
     }
     pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
-    auto& ws = detail::workspace();
-    auto new_rowptr_lease = ws.lease<Index>(nrows_ + 1);
-    auto new_colind_lease = ws.lease<Index>(colind_.size());
-    auto new_val_lease = ws.lease<T>(val_.size());
-    auto& new_rowptr = *new_rowptr_lease;
-    auto& new_colind = *new_colind_lease;
-    auto& new_val = *new_val_lease;
-    new_rowptr.assign(nrows_ + 1, 0);
-    std::size_t b = 0;
+    // Write pass, front to back. Entries from `read` on still sit at their
+    // old positions; entries below `write` are final. Removed positions
+    // compact into pos[0, removed) for the rowptr pass.
+    const Index old_nnz = nvals();
+    Index read = 0;
+    Index write = 0;
     std::size_t removed = 0;
-    for (Index i = 0; i < nrows_; ++i) {
-      for (Index k = rowptr_[i]; k < rowptr_[i + 1]; ++k) {
-        while (b < pos.size() && (pos[b].first < i ||
-                                  (pos[b].first == i &&
-                                   pos[b].second < colind_[k]))) {
-          ++b;
-        }
-        if (b < pos.size() && pos[b].first == i &&
-            pos[b].second == colind_[k]) {
-          ++removed;
-          ++b;
-          continue;
-        }
-        new_colind.push_back(colind_[k]);
-        new_val.push_back(val_[k]);
+    for (std::size_t b = 0; b < pos.size(); ++b) {
+      const auto [k, found] = locate(pos[b].first, pos[b].second, read,
+                                     old_nnz);
+      if (!found) continue;
+      if (write != read) {
+        std::move(iter(colind_, read), iter(colind_, k), iter(colind_, write));
+        std::move(iter(val_, read), iter(val_, k), iter(val_, write));
       }
-      new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
+      write += k - read;
+      read = k + 1;
+      pos[removed++] = pos[b];
     }
-    ws.donate(std::move(rowptr_));
-    ws.donate(std::move(colind_));
-    ws.donate(std::move(val_));
-    rowptr_ = new_rowptr_lease.detach();
-    colind_ = new_colind_lease.detach();
-    val_ = new_val_lease.detach();
+    if (removed == 0) return 0;
+    std::move(iter(colind_, read), colind_.end(), iter(colind_, write));
+    std::move(iter(val_, read), val_.end(), iter(val_, write));
+    colind_.resize(write + (old_nnz - read));
+    val_.resize(write + (old_nnz - read));
+    shift_rowptr(removed, [&](std::size_t q) { return pos[q].first; }, false);
     return removed;
   }
 
@@ -449,6 +445,42 @@ class Matrix {
     if (!std::is_sorted(tuples.begin(), tuples.end(), less)) {
       std::sort(tuples.begin(), tuples.end(), less);
     }
+  }
+
+  /// lower_bound of column j in row i, searched only among the stored
+  /// positions [lo, hi) — the part of the arrays an in-place merge has not
+  /// moved yet. Returns the position and whether it holds (i, j).
+  [[nodiscard]] std::pair<Index, bool> locate(Index i, Index j, Index lo,
+                                              Index hi) const {
+    const auto first = iter(colind_, std::max(rowptr_[i], lo));
+    const auto last = iter(colind_, std::min(rowptr_[i + 1], hi));
+    const auto it = std::lower_bound(first, last, j);
+    return {static_cast<Index>(it - colind_.begin()), it != last && *it == j};
+  }
+
+  /// Fixes rowptr after an in-place merge, in one pass from the first
+  /// touched row: the end of row r moves by the number of entries the batch
+  /// added (or removed) in rows up to r. `row_of(q)` is the row of the q-th
+  /// of `n` touched entries, ascending.
+  template <typename RowOf>
+  void shift_rowptr(std::size_t n, RowOf row_of, bool added) {
+    Index shift = 0;
+    for (std::size_t q = 0; q < n;) {
+      const Index r = row_of(q);
+      while (q < n && row_of(q) == r) {
+        ++shift;
+        ++q;
+      }
+      const Index next = q < n ? row_of(q) : nrows_;
+      // Unsigned wrap-around turns the subtraction into an addition.
+      const Index step = added ? shift : Index{0} - shift;
+      for (Index i = r; i < next; ++i) rowptr_[i + 1] += step;
+    }
+  }
+
+  template <typename V>
+  static auto iter(V& v, Index k) {
+    return v.begin() + static_cast<std::ptrdiff_t>(k);
   }
 
   void check_bounds(Index i, Index j) const {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace grb {
 
@@ -61,6 +62,16 @@ class AliasedOperand : public Exception {
 namespace detail {
 inline void check(bool cond, const char* msg) {
   if (!cond) throw InvalidValue(msg);
+}
+
+/// Ensures capacity for `need` elements ahead of an in-place merge. Growth
+/// adds a fixed 1/8 headroom instead of std::vector's doubling: the state
+/// matrices and maintained vectors grow by a few entries per change set, so
+/// the headroom amortises reallocation without pinning up to twice their
+/// size in memory.
+template <typename T>
+void reserve_with_headroom(std::vector<T>& v, std::size_t need) {
+  if (v.capacity() < need) v.reserve(need + need / 8);
 }
 }  // namespace detail
 

@@ -8,8 +8,9 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "grb/binary_ops.hpp"
@@ -161,13 +162,75 @@ class Vector {
   }
 
   /// Removes one element if present (GrB_Vector_removeElement).
-  void erase(Index i) {
-    check_bounds(i);
-    const auto it = std::lower_bound(ind_.begin(), ind_.end(), i);
-    if (it == ind_.end() || *it != i) return;
-    const auto pos = static_cast<std::size_t>(it - ind_.begin());
-    ind_.erase(it);
-    val_.erase(val_.begin() + static_cast<std::ptrdiff_t>(pos));
+  void erase(Index i) { erase(std::span<const Index>(&i, 1)); }
+
+  /// Removes a batch of elements, given as ascending indices, in one forward
+  /// pass that moves each run of surviving entries once. Indices without an
+  /// entry are ignored. Bounds checks come before the first write.
+  void erase(std::span<const Index> sorted) {
+    for (const Index i : sorted) check_bounds(i);
+    std::size_t read = 0;
+    std::size_t write = 0;
+    for (const Index i : sorted) {
+      const auto [k, found] = locate(i, read, ind_.size());
+      if (!found) continue;
+      if (write != read) {
+        std::move(iter(ind_, read), iter(ind_, k), iter(ind_, write));
+        std::move(iter(val_, read), iter(val_, k), iter(val_, write));
+      }
+      write += k - read;
+      read = k + 1;
+    }
+    if (read == 0) return;
+    std::move(iter(ind_, read), ind_.end(), iter(ind_, write));
+    std::move(iter(val_, read), val_.end(), iter(val_, write));
+    ind_.resize(write + (ind_.size() - read));
+    val_.resize(ind_.size());
+  }
+
+  /// w ⊕= u in place: the result of eWiseAdd(w, op, w, u) without rebuilding
+  /// w. Where u's pattern meets w's, the value becomes op(w(i), u(i)); the
+  /// other entries of u are inserted with u's value. Values are rewritten
+  /// only at u's indices; each run of untouched entries behind an inserted
+  /// index moves exactly once, back to front. Cost: O(|u| log |w|) plus the
+  /// entries stored after u's first new index. The size check and the one
+  /// capacity growth come before the first write.
+  template <typename Op, typename U>
+  void accumulate(const Vector<U>& u, Op op) {
+    if (u.size() != size_) {
+      throw DimensionMismatch("accumulate: " + std::to_string(size_) +
+                              " vs " + std::to_string(u.size()));
+    }
+    const auto ui = u.indices();
+    const auto uv = u.values();
+    const std::size_t old_n = ind_.size();
+    std::size_t added = 0;
+    for (const Index i : ui) {
+      if (!locate(i, 0, old_n).second) ++added;
+    }
+    if (added > 0) {
+      detail::reserve_with_headroom(ind_, old_n + added);
+      detail::reserve_with_headroom(val_, old_n + added);
+      ind_.resize(old_n + added);
+      val_.resize(old_n + added);
+    }
+    // Entries below `read` still sit at their old positions; entries from
+    // `write` on are final.
+    std::size_t read = old_n;
+    std::size_t write = old_n + added;
+    for (std::size_t b = ui.size(); b-- > 0;) {
+      const auto [pos, found] = locate(ui[b], 0, read);
+      if (found) {
+        val_[pos] = static_cast<T>(op(val_[pos], static_cast<T>(uv[b])));
+        continue;
+      }
+      std::move_backward(iter(ind_, pos), iter(ind_, read), iter(ind_, write));
+      std::move_backward(iter(val_, pos), iter(val_, read), iter(val_, write));
+      write -= read - pos + 1;
+      ind_[write] = ui[b];
+      val_[write] = static_cast<T>(uv[b]);
+      read = pos;
+    }
   }
 
   /// Coordinate views (GrB_Vector_extractTuples without the copy).
@@ -243,6 +306,23 @@ class Vector {
   }
 
  private:
+  /// lower_bound of index i among the stored positions [lo, hi) — the part
+  /// of the arrays an in-place merge has not moved yet. Returns the position
+  /// and whether it holds i.
+  [[nodiscard]] std::pair<std::size_t, bool> locate(Index i, std::size_t lo,
+                                                    std::size_t hi) const {
+    const auto first = iter(ind_, lo);
+    const auto last = iter(ind_, hi);
+    const auto it = std::lower_bound(first, last, i);
+    return {static_cast<std::size_t>(it - ind_.begin()),
+            it != last && *it == i};
+  }
+
+  template <typename V>
+  static auto iter(V& v, std::size_t k) {
+    return v.begin() + static_cast<std::ptrdiff_t>(k);
+  }
+
   void check_bounds(Index i) const {
     if (i >= size_) {
       throw IndexOutOfBounds("vector index " + std::to_string(i) +

@@ -308,9 +308,6 @@ std::string GrbIncrementalCcEngine::update(const sm::ChangeSet& cs) {
     const auto& smaller = liked_by_user_[a].size() <= liked_by_user_[b].size()
                               ? liked_by_user_[a]
                               : liked_by_user_[b];
-    const Index other = liked_by_user_[a].size() <= liked_by_user_[b].size()
-                            ? b
-                            : a;
     for (const Index c : smaller) {
       auto& cc = per_comment_[c];
       const auto ia = cc.local.find(a);
@@ -321,7 +318,6 @@ std::string GrbIncrementalCcEngine::update(const sm::ChangeSet& cs) {
         }
       }
     }
-    (void)other;
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());

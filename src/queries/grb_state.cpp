@@ -216,8 +216,8 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
       });
 
   // Grow to the post-update dimensions, then apply each batch as a single
-  // sorted insert_tuples / remove_positions merge per matrix per change
-  // set. The like batch and both removal batches arrive already in CSR
+  // sorted in-place insert_tuples / remove_positions merge per matrix per
+  // change set. The like batch and both removal batches arrive already in CSR
   // order from the sorted sweep, so their merges skip the re-sort; only the
   // friendship batch (forward + mirrored directions) pays one sort.
   root_post_.resize(np, nc);
@@ -262,17 +262,21 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
   delta.new_friends = incidence(delta.new_friendships);
   delta.removed_friends = incidence(delta.removed_friendships);
 
-  // Maintain likesCount = likesCount ⊕ likesCount⁺ ⊖ likesCount⁻. The minus
-  // entries always intersect existing entries (the edge existed), so the
-  // union semantics of eWiseAdd(Minus) are exact here.
-  grb::eWiseAdd(likes_count_, grb::Plus<std::uint64_t>{}, likes_count_,
-                delta.likes_count_plus);
+  // Maintain likesCount = likesCount ⊕ likesCount⁺ ⊖ likesCount⁻ in place.
+  // The minus entries always intersect existing entries (the edge existed),
+  // so the union semantics of accumulate(Minus) are exact here.
+  likes_count_.accumulate(delta.likes_count_plus, grb::Plus<std::uint64_t>{});
   if (delta.likes_count_minus.nvals() > 0) {
-    grb::eWiseAdd(likes_count_, grb::Minus<std::uint64_t>{}, likes_count_,
-                  delta.likes_count_minus);
-    // Drop explicit zeros so likesCount stays the exact pattern of "has
-    // at least one like" (Alg. 1 relies on its sparsity, not values of 0).
-    grb::select(likes_count_, grb::NonZero<std::uint64_t>{}, likes_count_);
+    likes_count_.accumulate(delta.likes_count_minus,
+                            grb::Minus<std::uint64_t>{});
+    // Drop the counts that reached zero so likesCount stays the exact
+    // pattern of "has at least one like" (Alg. 1 relies on its sparsity,
+    // not values of 0). Only a minus index can have reached zero.
+    std::vector<Index> emptied;
+    for (const Index c : delta.likes_count_minus.indices()) {
+      if (likes_count_.at_or(c, 0) == 0) emptied.push_back(c);
+    }
+    likes_count_.erase(emptied);
   }
   return delta;
 }

@@ -9,10 +9,12 @@
 // plus the id/timestamp mappings needed to emit contest answers, and the
 // comment → root-post mapping needed to resolve incoming changes.
 //
-// apply_change_set() grows the matrix dimensions, merges all new edges in
-// sorted batches, and returns the GrbDelta the incremental algorithms
-// consume: ΔRootPost, likesCount⁺, the NewFriends incidence matrix and the
-// new/modified comment lists of Fig. 4.
+// apply_change_set() grows the matrix dimensions, merges the netted edge
+// batches into the matrices in place and accumulates likesCount in place, so
+// a change set costs the entries shifted behind its first touched position
+// plus one rowptr pass, not a rebuild of every structure. It returns the
+// GrbDelta the incremental algorithms consume: ΔRootPost, likesCount⁺, the
+// NewFriends incidence matrix and the new/modified comment lists of Fig. 4.
 #pragma once
 
 #include <unordered_map>

@@ -59,18 +59,18 @@ grb::Vector<U64> q1_incremental_update(const GrbState& state,
   grb::Vector<U64> score_plus(np);
   grb::eWiseAdd(score_plus, grb::Plus<U64>{}, replies_plus, likes_plus);
 
-  // Line 13: scores′ ← scores ⊕ scores⁺.
-  grb::eWiseAdd(scores, grb::Plus<U64>{}, scores, score_plus);
+  // Line 13: scores′ ← scores ⊕ scores⁺, accumulated in place.
+  scores.accumulate(score_plus, grb::Plus<U64>{});
 
   // Removal extension (future-work item (1)): scores⁻ ← RootPost′ ⊕.⊗
   // likesCount⁻, subtracted from the running totals. A post with a removed
   // like always has a positive score entry (it counted that like), so the
-  // union semantics of eWiseAdd(Minus) only ever hit the intersection.
+  // union semantics of accumulate(Minus) only ever hit the intersection.
   grb::Vector<U64> score_minus(np);
   if (delta.likes_count_minus.nvals() > 0) {
     grb::mxv(score_minus, grb::plus_second_semiring<U64>(), state.root_post(),
              delta.likes_count_minus);
-    grb::eWiseAdd(scores, grb::Minus<U64>{}, scores, score_minus);
+    scores.accumulate(score_minus, grb::Minus<U64>{});
   }
 
   // Line 14: Δscores⟨scores⁺ ∪ scores⁻⟩ ← scores′ — the updated totals,

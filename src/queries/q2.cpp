@@ -143,8 +143,8 @@ grb::Vector<U64> q2_incremental_update(const GrbState& state,
   auto delta_scores = grb::Vector<U64>::adopt_sorted(
       nc, std::move(changed_idx), std::move(changed_val));
 
-  // scores′: merge the new values in (new value wins).
-  grb::eWiseAdd(scores, grb::Second<U64>{}, scores, delta_scores);
+  // scores′: merge the new values in place (new value wins).
+  scores.accumulate(delta_scores, grb::Second<U64>{});
   return delta_scores;
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "grb/grb.hpp"
 #include "support/rng.hpp"
@@ -125,6 +128,83 @@ TEST(Matrix, InsertTuplesRejectsOutOfBounds) {
   EXPECT_THROW(m.insert_tuples({{2, 0, 1}}), grb::IndexOutOfBounds);
 }
 
+// The in-place merge against its definition: build() over the union.
+void expect_insert_matches_build(Index nrows, Index ncols,
+                                 const std::vector<Tuple<U64>>& first,
+                                 const std::vector<Tuple<U64>>& batch) {
+  auto m = Matrix<U64>::build(nrows, ncols, first);
+  m.insert_tuples(batch);
+  std::vector<Tuple<U64>> all = first;
+  all.insert(all.end(), batch.begin(), batch.end());
+  EXPECT_EQ(m, Matrix<U64>::build(nrows, ncols, all));
+  m.check_invariants();
+}
+
+TEST(Matrix, InsertTuplesAfterLastStoredEntry) {
+  expect_insert_matches_build(4, 4, {{0, 1, 1}, {1, 2, 2}},
+                              {{1, 3, 3}, {3, 0, 4}, {3, 3, 5}});
+}
+
+TEST(Matrix, InsertTuplesInRowZero) {
+  expect_insert_matches_build(3, 4, {{0, 1, 1}, {0, 3, 2}, {2, 0, 3}},
+                              {{0, 0, 4}, {0, 2, 5}});
+}
+
+TEST(Matrix, InsertTuplesIntoRowsAddedByResize) {
+  auto m = Matrix<U64>::build(2, 3, {{0, 1, 1}, {1, 2, 2}});
+  m.resize(5, 4);
+  m.insert_tuples({{4, 3, 3}, {0, 0, 4}, {3, 1, 5}, {3, 3, 6}});
+  const std::vector<Tuple<U64>> all{{0, 0, 4}, {0, 1, 1}, {1, 2, 2},
+                                    {3, 1, 5}, {3, 3, 6}, {4, 3, 3}};
+  EXPECT_EQ(m, Matrix<U64>::build(5, 4, all));
+  m.check_invariants();
+}
+
+TEST(Matrix, InsertTuplesOfExistingEntriesOnlyRunsDup) {
+  auto m = Matrix<U64>::build(3, 3, {{0, 1, 1}, {1, 0, 2}, {2, 2, 3}});
+  const std::vector<Index> rowptr(m.rowptr().begin(), m.rowptr().end());
+  const std::vector<Index> colind(m.colind().begin(), m.colind().end());
+  m.insert_tuples({{2, 2, 30}, {0, 1, 10}, {0, 1, 100}}, grb::Plus<U64>{});
+  EXPECT_TRUE(std::equal(rowptr.begin(), rowptr.end(), m.rowptr().begin(),
+                         m.rowptr().end()));
+  EXPECT_TRUE(std::equal(colind.begin(), colind.end(), m.colind().begin(),
+                         m.colind().end()));
+  EXPECT_EQ(m.at(0, 1).value(), 111u);
+  EXPECT_EQ(m.at(1, 0).value(), 2u);
+  EXPECT_EQ(m.at(2, 2).value(), 33u);
+}
+
+TEST(Matrix, RemovePositionsIgnoresAbsentAndRepeatedPositions) {
+  auto m = Matrix<U64>::build(3, 3, {{0, 1, 1}, {1, 0, 2}, {2, 2, 3}});
+  EXPECT_EQ(m.remove_positions({{2, 2}, {0, 0}, {2, 2}, {1, 1}, {0, 1}}), 2u);
+  EXPECT_EQ(m, Matrix<U64>::build(3, 3, {{1, 0, 2}}));
+  EXPECT_EQ(m.remove_positions({{0, 0}, {2, 1}}), 0u);
+  EXPECT_EQ(m, Matrix<U64>::build(3, 3, {{1, 0, 2}}));
+  m.check_invariants();
+}
+
+TEST(Matrix, RemovePositionsCanEmptyARow) {
+  auto m = Matrix<U64>::build(
+      3, 3, {{0, 0, 1}, {1, 0, 2}, {1, 1, 3}, {1, 2, 4}, {2, 1, 5}});
+  EXPECT_EQ(m.remove_positions({{1, 2}, {1, 0}, {1, 1}}), 3u);
+  EXPECT_EQ(m.row_degree(1), 0u);
+  EXPECT_EQ(m, Matrix<U64>::build(3, 3, {{0, 0, 1}, {2, 1, 5}}));
+  m.check_invariants();
+}
+
+TEST(Matrix, OutOfBoundsBatchLeavesMatrixUnchanged) {
+  auto m = Matrix<U64>::build(3, 3, {{0, 1, 1}, {1, 0, 2}, {2, 2, 3}});
+  const auto before = m;
+  EXPECT_THROW(m.insert_tuples({{0, 0, 9}, {1, 1, 9}, {3, 0, 9}}),
+               grb::IndexOutOfBounds);
+  EXPECT_EQ(m, before);
+  EXPECT_THROW(m.insert_tuples({{0, 1, 9}, {2, 3, 9}}), grb::IndexOutOfBounds);
+  EXPECT_EQ(m, before);
+  EXPECT_THROW(m.remove_positions({{0, 1}, {1, 0}, {0, 3}}),
+               grb::IndexOutOfBounds);
+  EXPECT_EQ(m, before);
+}
+
 TEST(Matrix, ExtractTuplesRoundTrip) {
   const auto m =
       Matrix<U64>::build(3, 3, {{0, 2, 1}, {1, 0, 2}, {2, 2, 3}});
@@ -183,5 +263,50 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MergeCase{4, 3, 3, 1}, MergeCase{16, 30, 10, 2},
                       MergeCase{64, 200, 50, 3}, MergeCase{128, 0, 40, 4},
                       MergeCase{128, 40, 0, 5}, MergeCase{512, 900, 300, 6}));
+
+class RemovePositionsSweep : public ::testing::TestWithParam<MergeCase> {};
+
+// Property: remove_positions(batch) == build(existing \ batch), and the
+// returned count is the number of positions that held an entry.
+TEST_P(RemovePositionsSweep, EquivalentToBuildOfSetDifference) {
+  const auto [n, initial, batch, seed] = GetParam();
+  grbsm::support::Xoshiro256 rng(seed);
+  std::vector<Tuple<U64>> first;
+  for (std::size_t k = 0; k < initial; ++k) {
+    first.push_back({rng.bounded(n), rng.bounded(n), rng.bounded(100)});
+  }
+  auto incremental = Matrix<U64>::build(n, n, first, grb::Plus<U64>{});
+  const auto existing = incremental.extract_tuples();
+  // Half the batch hits stored entries (repeats included), half is random.
+  std::vector<std::pair<Index, Index>> positions;
+  for (std::size_t k = 0; k < batch; ++k) {
+    if (k % 2 == 0 && !existing.empty()) {
+      const auto& t = existing[rng.bounded(existing.size())];
+      positions.emplace_back(t.row, t.col);
+    } else {
+      positions.emplace_back(rng.bounded(n), rng.bounded(n));
+    }
+  }
+  const std::size_t removed = incremental.remove_positions(positions);
+
+  std::sort(positions.begin(), positions.end());
+  std::vector<Tuple<U64>> kept;
+  for (const auto& t : existing) {
+    if (!std::binary_search(positions.begin(), positions.end(),
+                            std::pair<Index, Index>{t.row, t.col})) {
+      kept.push_back(t);
+    }
+  }
+  EXPECT_EQ(removed, existing.size() - kept.size());
+  EXPECT_EQ(incremental, Matrix<U64>::build(n, n, kept));
+  incremental.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Random, RemovePositionsSweep,
+    ::testing::Values(MergeCase{4, 3, 3, 1}, MergeCase{16, 30, 10, 2},
+                      MergeCase{64, 200, 50, 3}, MergeCase{128, 0, 40, 4},
+                      MergeCase{128, 40, 0, 5}, MergeCase{512, 900, 300, 6},
+                      MergeCase{8, 60, 200, 7}));
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "grb/grb.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -64,6 +67,18 @@ TEST(Vector, EraseRemovesEntry) {
   EXPECT_FALSE(v.at(2).has_value());
   v.erase(2);  // idempotent
   EXPECT_EQ(v.nvals(), 2u);
+}
+
+TEST(Vector, BatchEraseRemovesPresentIndicesInOnePass) {
+  auto v = Vector<U64>::build(8, {0, 2, 3, 5, 7}, {10, 20, 30, 50, 70});
+  const std::vector<Index> gone{0, 1, 3, 3, 7};
+  v.erase(gone);
+  EXPECT_EQ(v, Vector<U64>::build(8, {2, 5}, {20, 50}));
+  v.erase(std::vector<Index>{});
+  EXPECT_EQ(v, Vector<U64>::build(8, {2, 5}, {20, 50}));
+  const auto before = v;
+  EXPECT_THROW(v.erase(std::vector<Index>{2, 8}), grb::IndexOutOfBounds);
+  EXPECT_EQ(v, before);
 }
 
 TEST(Vector, AccessOutOfBoundsThrows) {
@@ -195,6 +210,86 @@ TEST(VectorAdoptSorted, NeverSkipsTheCheck) {
   const auto v = Vector<U64>::adopt_sorted(6, {3, 1}, {30, 10},
                                            grb::CsrCheck::kNever);
   EXPECT_EQ(v.nvals(), 2u);
+}
+
+// --- accumulate: w ⊕= u in place ---------------------------------------------
+
+enum class UPattern { kRandom, kEmpty, kAllNew, kAllExisting };
+
+// A random w of size n and a u whose pattern relates to w's as `pattern`
+// says. Where u meets w, u's value is at most w's, so Minus never wraps.
+std::pair<Vector<U64>, Vector<U64>> accumulate_operands(std::uint64_t seed,
+                                                        UPattern pattern) {
+  grbsm::support::Xoshiro256 rng(seed);
+  const Index n = 1 + rng.bounded(200);
+  std::vector<Index> wi, ui;
+  std::vector<U64> wv, uv;
+  for (Index i = 0; i < n; ++i) {
+    const bool in_w = rng.bounded(3) == 0;
+    if (in_w) {
+      wi.push_back(i);
+      wv.push_back(1 + rng.bounded(1000));
+    }
+    bool in_u = false;
+    if (pattern == UPattern::kRandom) {
+      in_u = rng.bounded(4) == 0;
+    } else if (pattern == UPattern::kAllNew) {
+      in_u = !in_w && rng.bounded(2) == 0;
+    } else if (pattern == UPattern::kAllExisting) {
+      in_u = in_w && rng.bounded(2) == 0;
+    }
+    if (in_u) {
+      ui.push_back(i);
+      uv.push_back(in_w ? rng.bounded(wv.back() + 1) : 1 + rng.bounded(1000));
+    }
+  }
+  return {Vector<U64>::build(n, wi, wv), Vector<U64>::build(n, ui, uv)};
+}
+
+template <typename Op>
+void expect_accumulate_matches_ewise_add(Op op, UPattern pattern) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    auto [w, u] = accumulate_operands(seed, pattern);
+    Vector<U64> expected(w.size());
+    grb::eWiseAdd(expected, op, w, u);
+    w.accumulate(u, op);
+    EXPECT_EQ(w, expected) << "seed " << seed;
+    w.check_invariants();
+  }
+}
+
+TEST(VectorAccumulate, PlusMatchesEwiseAdd) {
+  for (const auto p : {UPattern::kRandom, UPattern::kEmpty, UPattern::kAllNew,
+                       UPattern::kAllExisting}) {
+    expect_accumulate_matches_ewise_add(grb::Plus<U64>{}, p);
+  }
+}
+
+TEST(VectorAccumulate, MinusOnTheIntersectionMatchesEwiseAdd) {
+  for (const auto p : {UPattern::kEmpty, UPattern::kAllExisting}) {
+    expect_accumulate_matches_ewise_add(grb::Minus<U64>{}, p);
+  }
+}
+
+TEST(VectorAccumulate, SecondMatchesEwiseAdd) {
+  for (const auto p : {UPattern::kRandom, UPattern::kEmpty, UPattern::kAllNew,
+                       UPattern::kAllExisting}) {
+    expect_accumulate_matches_ewise_add(grb::Second<U64>{}, p);
+  }
+}
+
+TEST(VectorAccumulate, SizeMismatchThrowsAndLeavesVectorUnchanged) {
+  auto w = Vector<U64>::build(4, {1, 3}, {10, 30});
+  const auto before = w;
+  EXPECT_THROW(w.accumulate(Vector<U64>::build(5, {0}, {1}), grb::Plus<U64>{}),
+               grb::DimensionMismatch);
+  EXPECT_EQ(w, before);
+}
+
+TEST(VectorAccumulate, SelfAccumulateDoublesInPlace) {
+  auto w = Vector<U64>::build(4, {1, 3}, {10, 30});
+  w.accumulate(w, grb::Plus<U64>{});
+  EXPECT_EQ(w, Vector<U64>::build(4, {1, 3}, {20, 60}));
 }
 
 }  // namespace
