@@ -5,6 +5,9 @@
 // one: every tool computes the same thing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "datagen/generator.hpp"
 #include "harness/runner.hpp"
 
@@ -12,25 +15,29 @@ namespace {
 
 using harness::Query;
 
+// GoogleTest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialised and would make
+// the test names change from run to run.
 struct EquivCase {
-  unsigned scale;
+  std::uint64_t scale;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<EquivCase>);
 
 class EngineEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(EngineEquivalence, AllEnginesAgreeOnQ1) {
   const auto p = GetParam();
-  const auto ds =
-      datagen::generate(datagen::params_for_scale(p.scale, p.seed));
+  const auto ds = datagen::generate(
+      datagen::params_for_scale(static_cast<unsigned>(p.scale), p.seed));
   EXPECT_NO_THROW(harness::verify_tools(harness::all_tools(), Query::kQ1,
                                         ds.initial, ds.changes));
 }
 
 TEST_P(EngineEquivalence, AllEnginesAgreeOnQ2) {
   const auto p = GetParam();
-  const auto ds =
-      datagen::generate(datagen::params_for_scale(p.scale, p.seed));
+  const auto ds = datagen::generate(
+      datagen::params_for_scale(static_cast<unsigned>(p.scale), p.seed));
   EXPECT_NO_THROW(harness::verify_tools(harness::all_tools(), Query::kQ2,
                                         ds.initial, ds.changes));
 }
